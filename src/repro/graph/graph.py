@@ -9,6 +9,10 @@ derived) or directly by length (probability is derived).
 
 Nodes may be arbitrary hashables; internally each node gets a dense integer
 index so numeric kernels (APSP matrices, numpy evaluators) can use arrays.
+
+Monte Carlo trials read the edges through :attr:`WirelessGraph.failure_table`,
+a lazily built snapshot of every edge with its failure probability; every
+mutation drops it, so a snapshot never outlives the edge set it describes.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from repro.util.validation import check_fraction, check_nonnegative
 
 Node = Hashable
 Edge = Tuple[Node, Node]
+FailureTable = Tuple[Tuple[Edge, ...], Tuple[float, ...]]
 
 
 class WirelessGraph:
@@ -45,6 +50,7 @@ class WirelessGraph:
         self._index_of: Dict[Node, int] = {}
         self._node_of: List[Node] = []
         self._adjacency: List[Dict[int, float]] = []  # index -> {index: length}
+        self._failure_table: Optional[FailureTable] = None
 
     # ------------------------------------------------------------------ nodes
 
@@ -53,6 +59,7 @@ class WirelessGraph:
         idx = self._index_of.get(node)
         if idx is None:
             idx = len(self._node_of)
+            self._failure_table = None
             self._index_of[node] = idx
             self._node_of.append(node)
             self._adjacency.append({})
@@ -122,6 +129,7 @@ class WirelessGraph:
         else:
             length = check_nonnegative(length, "length")
         iu, iv = self.add_node(u), self.add_node(v)
+        self._failure_table = None
         self._adjacency[iu][iv] = length
         self._adjacency[iv][iu] = length
 
@@ -130,6 +138,7 @@ class WirelessGraph:
         iu, iv = self.node_index(u), self.node_index(v)
         if iv not in self._adjacency[iu]:
             raise GraphError(f"no edge between {u!r} and {v!r}")
+        self._failure_table = None
         del self._adjacency[iu][iv]
         del self._adjacency[iv][iu]
 
@@ -159,6 +168,25 @@ class WirelessGraph:
                 if iu < iv:
                     out.append((self._node_of[iu], self._node_of[iv], length))
         return out
+
+    @property
+    def failure_table(self) -> FailureTable:
+        """Every edge ``(u, v)`` in :attr:`edges` order, and a matching
+        tuple of failure probabilities.
+
+        Built on first use (each length goes through
+        :func:`~repro.failure.models.length_to_failure` once) and kept until
+        the next :meth:`add_node`, :meth:`add_edge` or :meth:`remove_edge`;
+        a :meth:`copy` starts without one.
+        """
+        table = self._failure_table
+        if table is None:
+            edges = self.edges
+            table = self._failure_table = (
+                tuple((u, v) for u, v, _length in edges),
+                tuple(length_to_failure(length) for _u, _v, length in edges),
+            )
+        return table
 
     def number_of_edges(self) -> int:
         return sum(len(nbrs) for nbrs in self._adjacency) // 2

@@ -19,10 +19,14 @@ overhead a network engineer would weigh against placing a reliable link.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.graph.graph import Node, WirelessGraph
-from repro.sim.delivery import DeliverySimulator, STRATEGIES
+from repro.sim.delivery import (
+    DeliverySimulator,
+    STRATEGIES,
+    _component_labels,
+)
 from repro.sim.sampling import sample_failed_edges
 from repro.exceptions import SolverError
 from repro.types import NodePair
@@ -65,31 +69,29 @@ def _path_transmissions(path: Sequence[Node], failed) -> Tuple[int, bool]:
     return sent, True
 
 
-def _flood_transmissions(
-    graph: WirelessGraph, failed, source: Node, target: Node
-) -> Tuple[int, bool]:
-    """Flooding: BFS over surviving links from *source*; every reached node
-    broadcasts once, so each surviving link inside the reached component is
-    traversed once. Returns (transmissions, target reached)."""
-    failed_idx = {
-        (graph.node_index(a), graph.node_index(b)) for a, b in failed
-    }
-    src = graph.node_index(source)
-    dst = graph.node_index(target)
-    seen: Set[int] = {src}
-    stack = [src]
-    transmissions = 0
-    while stack:
-        u = stack.pop()
-        for v in graph.neighbors_by_index(u):
-            if (u, v) in failed_idx or (v, u) in failed_idx:
-                continue
-            transmissions += 1  # u's broadcast crosses this surviving link
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    # Each link inside the component was counted from both endpoints.
-    return transmissions // 2, dst in seen
+def _flood_pass(
+    graph: WirelessGraph, failed
+) -> Tuple[List[int], List[int]]:
+    """Flooding outcome of one trial for every pair at once.
+
+    Returns ``(labels, links)``: the surviving-graph component label per
+    dense index, and per component the number of surviving links inside
+    it. Every node a flood reaches broadcasts once, so a flood from
+    ``source`` crosses ``links[labels[source]]`` links and reaches
+    ``target`` iff the two labels are equal. *failed* holds each failed
+    link once, in either orientation (as :func:`sample_failed_edges`
+    returns them).
+    """
+    labels = _component_labels(graph, failed)
+    # Every surviving link lies inside one component, so twice its
+    # surviving links = its nodes' degrees minus their failed link ends.
+    ends = [0] * (max(labels, default=-1) + 1)
+    for index, label in enumerate(labels):
+        ends[label] += len(graph.neighbors_by_index(index))
+    for a, b in failed:
+        ends[labels[graph.node_index(a)]] -= 1
+        ends[labels[graph.node_index(b)]] -= 1
+    return labels, [count // 2 for count in ends]
 
 
 def measure_overhead(
@@ -114,18 +116,24 @@ def measure_overhead(
     rng = ensure_rng(seed)
     graph = simulator.graph
     routes = simulator._routes(pairs, strategy, multipath_k)
+    pair_indices = simulator._pair_indices(pairs)
 
     deliveries = 0
     transmissions = 0
     for _ in range(trials):
         failed = sample_failed_edges(graph, rng)
-        for i, (u, w) in enumerate(pairs):
-            if strategy == "flooding":
-                spent, ok = _flood_transmissions(graph, failed, u, w)
-                transmissions += spent
-                deliveries += int(ok)
-            else:
-                pair_routes = routes[i]
+        if strategy == "flooding":
+            labels, links = _flood_pass(graph, failed)
+            for indices in pair_indices:
+                # A pair that lost an endpoint sends nothing and never
+                # delivers, as under the routed strategies.
+                if indices is None:
+                    continue
+                source, target = indices
+                transmissions += links[labels[source]]
+                deliveries += int(labels[source] == labels[target])
+        else:
+            for i, pair_routes in enumerate(routes):
                 if pair_routes is None:
                     continue
                 delivered = False

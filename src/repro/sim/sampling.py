@@ -18,14 +18,13 @@ def sample_failed_edges(graph: WirelessGraph, rng) -> Set[Edge]:
     """One random trial: the set of links that failed this round.
 
     Edges are returned as ``(u, v)`` in the graph's canonical (index-sorted)
-    orientation, matching :attr:`WirelessGraph.edges`.
+    orientation, matching :attr:`WirelessGraph.edges`. Exactly one
+    ``rng.random()`` is drawn per edge, in that order, so a seed fixes the
+    trial regardless of how often the graph's failure table was rebuilt.
     """
-    rng = ensure_rng(rng)
-    failed: Set[Edge] = set()
-    for u, v, _length in graph.edges:
-        if rng.random() < graph.failure_probability(u, v):
-            failed.add((u, v))
-    return failed
+    draw = ensure_rng(rng).random
+    edges, probabilities = graph.failure_table
+    return {edge for edge, p in zip(edges, probabilities) if draw() < p}
 
 
 def surviving_graph(

@@ -7,6 +7,7 @@ import random
 from typing import List, Tuple
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.core.problem import MSCInstance
 from repro.graph.graph import WirelessGraph
@@ -55,6 +56,30 @@ def random_graph(
         for j in range(i + 1, n):
             if rng.random() < edge_prob:
                 graph.add_edge(i, j, length=rng.uniform(0.0, max_length))
+    return graph
+
+
+@st.composite
+def random_graphs(draw):
+    """Small graphs with shuffled node insertion order (so the canonical
+    orientation is not label order), isolated nodes, reliable links, and
+    re-added (overwritten) edges."""
+    n = draw(st.integers(1, 9))
+    graph = WirelessGraph()
+    graph.add_nodes(draw(st.permutations(range(n))))
+    if n > 1:
+        edges = draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, n - 1),
+                    st.integers(0, n - 1),
+                    st.sampled_from([0.0, 0.01, 0.3, 0.5, 0.9, 0.999]),
+                ).filter(lambda e: e[0] != e[1]),
+                max_size=3 * n,
+            )
+        )
+        for u, v, p in edges:
+            graph.add_edge(u, v, failure_probability=p)
     return graph
 
 

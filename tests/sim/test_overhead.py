@@ -3,18 +3,47 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import SolverError
 from repro.graph.graph import WirelessGraph
 from repro.sim.delivery import DeliverySimulator
 from repro.sim.overhead import (
     OverheadReport,
-    _flood_transmissions,
+    _flood_pass,
     _path_transmissions,
     compare_overheads,
     measure_overhead,
 )
-from tests.conftest import path_graph
+from tests.conftest import path_graph, random_graphs
+
+
+def reference_flood(graph, failed, source, target):
+    """Per-pair BFS reference: every node reached over surviving links
+    broadcasts once. Returns (transmissions, target reached)."""
+    dead = {frozenset(edge) for edge in failed}
+    seen = {source}
+    stack = [source]
+    transmissions = 0
+    while stack:
+        u = stack.pop()
+        for v, _length in graph.neighbors(u):
+            if frozenset((u, v)) in dead:
+                continue
+            transmissions += 1
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    # Each surviving link in the component was counted from both ends.
+    return transmissions // 2, target in seen
+
+
+def flood(graph, failed, source, target):
+    """Per-pair view of one :func:`_flood_pass`."""
+    labels, links = _flood_pass(graph, failed)
+    src, dst = graph.node_index(source), graph.node_index(target)
+    return links[labels[src]], labels[src] == labels[dst]
 
 
 def reliable_path(n_edges=3):
@@ -41,15 +70,34 @@ class TestPathTransmissions:
 class TestFloodTransmissions:
     def test_counts_component_links_once(self):
         g = reliable_path(3)
-        sent, ok = _flood_transmissions(g, set(), 0, 3)
+        sent, ok = flood(g, set(), 0, 3)
         assert sent == 3
         assert ok
 
     def test_failed_link_blocks_and_reduces(self):
         g = reliable_path(3)
-        sent, ok = _flood_transmissions(g, {(1, 2)}, 0, 3)
+        sent, ok = flood(g, {(1, 2)}, 0, 3)
         assert sent == 1  # only 0-1 survives in source component
         assert not ok
+
+    @settings(max_examples=80, deadline=None)
+    @given(graph=random_graphs(), data=st.data())
+    def test_matches_per_pair_bfs(self, graph, data):
+        edges = [(u, v) for u, v, _length in graph.edges]
+        chosen = data.draw(
+            st.lists(st.sampled_from(edges), unique=True) if edges
+            else st.just([])
+        )
+        # Each failed link once, in either orientation.
+        failed = {
+            edge[::-1] if data.draw(st.booleans()) else edge
+            for edge in chosen
+        }
+        for source in graph.nodes:
+            for target in graph.nodes:
+                assert flood(graph, failed, source, target) == (
+                    reference_flood(graph, failed, source, target)
+                )
 
 
 class TestMeasureOverhead:
@@ -111,6 +159,25 @@ class TestMeasureOverhead:
         )
         assert report.deliveries == 0
         assert math.isinf(report.per_delivery)
+
+    def test_flooding_pair_missing_endpoint_never_delivers(self):
+        """A pair that lost a node sends nothing and never delivers, as
+        under best_path, multipath and DeliverySimulator.simulate."""
+        sim = DeliverySimulator(path_graph([0.0, 0.0]))
+        report = measure_overhead(
+            sim, [(0, 9)], strategy="flooding", trials=5, seed=1
+        )
+        assert (report.deliveries, report.transmissions) == (0, 0)
+        mixed = measure_overhead(
+            sim, [(0, 9), (0, 2), (8, 2)], strategy="flooding",
+            trials=5, seed=1,
+        )
+        assert (mixed.deliveries, mixed.transmissions) == (5, 10)
+        for strategy in ("best_path", "multipath"):
+            other = measure_overhead(
+                sim, [(0, 9)], strategy=strategy, trials=5, seed=1
+            )
+            assert other.deliveries == 0
 
     def test_unknown_strategy_rejected(self):
         sim = DeliverySimulator(reliable_path(1))
