@@ -8,13 +8,15 @@ Raw wall-clock times are machine-dependent, so the gate compares the
   the quick size must not fall more than ``--tolerance`` (default 25%)
   below the committed baseline's. A drop means the optimized path itself
   regressed — both numbers divide out the machine.
-* ``--memory``: additionally runs the sparse-vs-dense oracle tier at
-  n=2000 and asserts the sparse peak stays within the memory budget
+* ``--memory``: additionally runs the hub-vs-dense oracle tier at
+  n=2000 and asserts the hub peak stays within the memory budget
   (≤ 25% of the dense peak for the same workload) with placements
   identical to the dense tier.
-* ``--large-n``: additionally runs the hub-vs-sparse tier at n=10^4 and
-  asserts the hub solve is ≥ 3× faster with a lower tracemalloc peak and
-  an identical placement (the hub tier's acceptance floors).
+* ``--large-n``: additionally runs the hub tier at n=10^4 and asserts its
+  whole solve is ≥ 3× faster than building the distance rows from the
+  pair endpoints and their d_t-ball (the least any row-based tier builds
+  before its first query), with a lower tracemalloc peak than that
+  block, and that its σ equals σ recomputed by scipy Dijkstra on G ∪ F.
 * ``--serve``: additionally runs the serve warm-cache bench and asserts a
   warm (resident-substrate) request is ≥ 5× faster than a cold
   rebuild-per-request, with identical placements.
@@ -56,8 +58,8 @@ MEMORY_GATE_SIZES = [(2000, 0.03, 60, 5, True)]
 MEMORY_BUDGET_RATIO = 0.25
 
 #: Large-n gate: the smallest hub-scale size (the full 10^5 series lives
-#: in BENCH_perf.json; one point keeps the gate fast). Floors are the
-#: tentpole's acceptance criteria, machine-relative because speedup and
+#: in BENCH_perf.json; one point keeps the gate fast). The floors are the
+#: hub tier's acceptance criteria, machine-relative because speedup and
 #: mem_ratio divide out the hardware.
 LARGE_N_GATE_SIZES = [(10_000, 0.03, 60, 5)]
 LARGE_N_SPEEDUP_FLOOR = 3.0
@@ -91,42 +93,45 @@ def check_greedy_speedups(baseline: dict, tolerance: float) -> list:
 
 
 def check_memory_budget() -> list:
-    """Run the sparse-vs-dense tier and enforce the peak-memory budget."""
+    """Run the hub-vs-dense tier and enforce the peak-memory budget."""
     failures = []
     entry = bench_oracle_tiers(sizes=MEMORY_GATE_SIZES)["sizes"][0]
     ratio = float(entry["mem_ratio"])
     status = "ok" if ratio <= MEMORY_BUDGET_RATIO else "REGRESSION"
     print(
-        f"oracle tier n={entry['n']} p_t={entry['p_t']}: sparse peak "
-        f"{entry['sparse_peak_mb']}MB vs dense {entry['dense_peak_mb']}MB "
+        f"oracle tier n={entry['n']} p_t={entry['p_t']}: hub peak "
+        f"{entry['hub_peak_mb']}MB vs dense {entry['dense_peak_mb']}MB "
         f"-> ratio {ratio:.3f} (budget {MEMORY_BUDGET_RATIO}) [{status}]"
     )
     if ratio > MEMORY_BUDGET_RATIO:
         failures.append(
-            f"sparse peak is {ratio:.3f} of dense (budget "
+            f"hub peak is {ratio:.3f} of dense (budget "
             f"{MEMORY_BUDGET_RATIO}) at n={entry['n']}"
         )
     if not entry.get("placements_identical"):
-        failures.append("sparse placements diverged from dense")
+        failures.append("hub placements diverged from dense")
     return failures
 
 
 def check_large_n() -> list:
-    """Run the hub-vs-sparse tier at hub scale and enforce the floors."""
+    """Run the hub tier against the endpoint row block at hub scale and
+    enforce the floors and the independent σ check."""
     failures = []
     entry = bench_hub_tier(sizes=LARGE_N_GATE_SIZES)["sizes"][0]
     speedup = float(entry["speedup"])
     mem_ratio = float(entry["mem_ratio"])
+    sigma_ok = entry["sigma"] == entry["reference_sigma"]
     status = (
         "ok"
-        if speedup >= LARGE_N_SPEEDUP_FLOOR and mem_ratio < 1.0
+        if speedup >= LARGE_N_SPEEDUP_FLOOR and mem_ratio < 1.0 and sigma_ok
         else "REGRESSION"
     )
     print(
-        f"hub tier n={entry['n']}: solve {entry['hub_s']}s vs sparse "
-        f"{entry['sparse_s']}s -> speedup {speedup:.3f} (floor "
-        f"{LARGE_N_SPEEDUP_FLOOR}), mem ratio {mem_ratio:.3f} "
-        f"(budget < 1.0) [{status}]"
+        f"hub tier n={entry['n']}: solve {entry['hub_s']}s vs row block "
+        f"({entry['block_rows']} rows) {entry['block_s']}s -> speedup "
+        f"{speedup:.3f} (floor {LARGE_N_SPEEDUP_FLOOR}), mem ratio "
+        f"{mem_ratio:.3f} (budget < 1.0), sigma {entry['sigma']} vs "
+        f"scipy reference {entry['reference_sigma']} [{status}]"
     )
     if speedup < LARGE_N_SPEEDUP_FLOOR:
         failures.append(
@@ -135,11 +140,14 @@ def check_large_n() -> list:
         )
     if mem_ratio >= 1.0:
         failures.append(
-            f"hub-tier peak memory is {mem_ratio:.3f} of sparse "
+            f"hub-tier peak memory is {mem_ratio:.3f} of the row block "
             f"(must be < 1.0) at n={entry['n']}"
         )
-    if not entry.get("placements_identical"):
-        failures.append("hub placements diverged from sparse")
+    if not sigma_ok:
+        failures.append(
+            f"hub sigma {entry['sigma']} != scipy reference "
+            f"{entry['reference_sigma']} at n={entry['n']}"
+        )
     return failures
 
 
@@ -179,12 +187,13 @@ def main() -> int:
     parser.add_argument(
         "--memory",
         action="store_true",
-        help="also enforce the sparse-tier peak-memory budget at n=2000",
+        help="also enforce the hub-tier peak-memory budget at n=2000",
     )
     parser.add_argument(
         "--large-n",
         action="store_true",
-        help="also enforce the hub-tier speedup/memory floors at n=10^4",
+        help="also enforce the hub-tier speedup/memory floors and the "
+        "independent sigma check at n=10^4",
     )
     parser.add_argument(
         "--serve",

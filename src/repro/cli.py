@@ -24,7 +24,13 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.core.problem import ORACLE_POLICIES, set_default_oracle_policy
+from repro.core.problem import (
+    BALL_CHECK_MIN_N,
+    BALL_DENSE_FRACTION,
+    HUB_ORACLE_MIN_N,
+    ORACLE_POLICIES,
+    set_default_oracle_policy,
+)
 from repro.experiments.config import SCALES
 from repro.experiments.runner import (
     all_experiment_names,
@@ -40,9 +46,11 @@ def _add_oracle_argument(parser: argparse.ArgumentParser) -> None:
         default=None,
         choices=sorted(ORACLE_POLICIES),
         help="distance-oracle tier for instances built without an explicit "
-        "oracle: 'dense' = full APSP matrix, 'sparse' = pair-centric row "
-        "block, 'hub' = threshold-cutoff hub-label index (n>=10^4 scale), "
-        "'auto' (the default policy) picks by instance size",
+        "oracle: 'dense' = full APSP matrix, 'hub' = threshold-cutoff "
+        "hub-label index, 'auto' (the default policy) = dense below "
+        f"n={BALL_CHECK_MIN_N}, hub from n={HUB_ORACLE_MIN_N}, and in "
+        "between hub unless the pairs' d_t-ball covers more than "
+        f"{BALL_DENSE_FRACTION:.0%}% of the nodes",
     )
 
 

@@ -47,8 +47,8 @@ class MuFunction:
         tol = 1e-12 + 1e-9 * self.threshold
         limit = self.threshold + tol
         # Row accessors, never the square matrix: identical masks on every
-        # oracle tier (a sparse/hub oracle serves pair-endpoint rows
-        # without materializing O(n²)).
+        # oracle tier (a hub oracle serves pair-endpoint rows without
+        # materializing O(n²)).
         oracle = instance.oracle
         self._masks: List[Optional[np.ndarray]] = []
         self.base_satisfied: List[bool] = []

@@ -354,9 +354,9 @@ class SigmaEvaluator:
         stops are placed shortcut endpoints, so every useful endpoint lies
         within **base** distance ``d_t`` of a pair endpoint or of an
         endpoint of *edges* — the ball this method reads off the oracle's
-        row block. Candidates outside the ball have exactly zero gain,
-        which is why restricting generation to it leaves greedy placements
-        unchanged.
+        rows (or, on the hub tier, one cutoff Dijkstra). Candidates
+        outside the ball have exactly zero gain, which is why restricting
+        generation to it leaves greedy placements unchanged.
 
         Returns ``None`` when the restriction is disabled or not worth it
         (small graphs below :data:`CANDIDATE_RESTRICT_MIN_N`).
@@ -414,7 +414,7 @@ class SigmaEvaluator:
         satisfied_mask = pair_distances <= limit
         satisfied_now = int(satisfied_mask.sum())
         # Flushing at ~r²/4 buffered cells keeps the transient index
-        # buffers well under the (r, r) result size — on the sparse tier
+        # buffers well under the (r, r) result size — on the hub tier
         # the whole point is a small peak, and the extra flushes are cheap.
         scan = PairScanAccumulator(
             r, chunk_elements=min(self.chunk_elements, max(r * r // 4, 1))

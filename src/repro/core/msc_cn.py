@@ -54,7 +54,6 @@ def solve_msc_cn_exact(
                 "instance has no common node; use solve_exact instead"
             )
     graph = instance.graph
-    matrix = instance.oracle.matrix
     tol = 1e-12 + 1e-9 * instance.d_threshold
     limit = instance.d_threshold + tol
     common_idx = graph.node_index(common)
@@ -62,8 +61,11 @@ def solve_msc_cn_exact(
     partner_indices = np.array(
         [graph.node_index(p) for p in partners], dtype=np.intp
     )
-    base = matrix[common_idx, partner_indices] <= limit
-    covers = matrix[:, partner_indices] <= limit  # (n, m) bool
+    # Partner rows stand in for matrix columns (distances are symmetric),
+    # and every read is compared against the limit, so any tier is exact.
+    partner_rows = instance.oracle.rows(partner_indices)  # (m, n)
+    base = partner_rows[:, common_idx] <= limit
+    covers = (partner_rows <= limit).T  # (n, m) bool
     candidates = [
         v for v in range(instance.n) if v != common_idx
     ]
@@ -144,7 +146,6 @@ def solve_msc_cn(
         raise SolverError(f"{common!r} is not shared by every pair")
 
     graph = instance.graph
-    matrix = instance.oracle.matrix
     tol = 1e-12 + 1e-9 * instance.d_threshold
     limit = instance.d_threshold + tol
     common_idx = graph.node_index(common)
@@ -157,13 +158,17 @@ def solve_msc_cn(
         [graph.node_index(p) for p in partners], dtype=np.intp
     )
 
+    # Partner rows stand in for matrix columns (distances are symmetric),
+    # and every read is compared against the limit, so any tier is exact.
+    partner_rows = instance.oracle.rows(partner_indices)  # (m, n)
+
     # Base-satisfied pairs are covered by every choice; exclude them from the
     # coverage universe and add them back at the end.
-    base = matrix[common_idx, partner_indices] <= limit
+    base = partner_rows[:, common_idx] <= limit
     open_pairs = np.flatnonzero(~base)
 
     # sets[v, j]: shortcut (common, v) rescues open pair j.
-    sets = matrix[:, partner_indices[open_pairs]] <= limit
+    sets = (partner_rows[open_pairs] <= limit).T
     sets[common_idx, :] = False  # (u, u) self-loop is not a valid shortcut
     result = greedy_max_coverage(sets, instance.k)
 

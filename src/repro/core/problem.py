@@ -27,29 +27,27 @@ from repro.failure.models import length_to_failure
 from repro.graph.distances import DistanceOracle
 from repro.graph.graph import Node, WirelessGraph
 from repro.graph.hub_labels import HubLabelOracle, threshold_cutoff
-from repro.graph.sparse_oracle import (
-    SparseRowOracle,
-    relevant_source_indices,
-)
+from repro.graph.paths import ball_indices
 from repro.types import IndexPair, NodePair, normalize_index_pair
 
 #: Oracle policy names accepted by ``MSCInstance(oracle=...)``.
-ORACLE_POLICIES = ("dense", "sparse", "hub", "auto")
+ORACLE_POLICIES = ("dense", "hub", "auto")
 
 #: Below this node count ``auto`` always picks the dense tier: the full
 #: APSP is cheap and every consumer gets O(1) row views with no ball
-#: bookkeeping.
-SPARSE_ORACLE_MIN_N = 512
+#: bookkeeping. From here up to :data:`HUB_ORACLE_MIN_N` it measures the
+#: d_t-ball around the pair endpoints first.
+BALL_CHECK_MIN_N = 512
 
-#: ``auto`` picks the dense tier when the relevant-source set (pair
-#: endpoints + their d_t-ball) exceeds this fraction of the nodes — a row
-#: block nearly as tall as the matrix saves nothing.
-SPARSE_MAX_RELEVANT_FRACTION = 0.5
+#: Between the two cutovers ``auto`` picks the dense tier when the pair
+#: endpoints plus their d_t-ball exceed this fraction of the nodes: where
+#: the ball covers the graph, the full APSP answers faster than the
+#: threshold-cutoff labels (n=800 and 1200 at p_t=0.3).
+BALL_DENSE_FRACTION = 0.5
 
-#: From this node count up ``auto`` picks the hub-label tier: the sparse
-#: row block is still ``r × n`` (its width grows with the graph), while
-#: the threshold-cutoff label index is a few entries per node and builds
-#: in ``O(n · ball)`` — the n=10⁴–10⁶ operating range.
+#: From this node count up ``auto`` picks the hub-label tier without
+#: measuring the ball: the threshold-cutoff label index is a few entries
+#: per node and builds in ``O(n · ball)`` — the n=10⁴–10⁶ operating range.
 HUB_ORACLE_MIN_N = 10_000
 
 #: Module default used when ``MSCInstance`` gets no ``oracle=`` argument;
@@ -86,38 +84,36 @@ def resolve_oracle(
 ) -> OracleLike:
     """Build the distance oracle *policy* asks for.
 
-    ``dense`` builds the classic APSP :class:`DistanceOracle`; ``sparse``
-    builds a :class:`SparseRowOracle` restricted to the pair endpoints and
-    their ``d_t``-ball; ``hub`` builds a threshold-cutoff
-    :class:`HubLabelOracle` (exact for every comparison against ``d_t``,
-    label footprint independent of pair count). ``auto`` picks dense below
-    :data:`SPARSE_ORACLE_MIN_N`, hub from :data:`HUB_ORACLE_MIN_N` up,
-    and in between measures the ball first (cutoff Dijkstra from the
-    endpoints — cost bounded by the ball, not the graph) and picks sparse
-    only when the relevant fraction ``r/n`` is at most
-    :data:`SPARSE_MAX_RELEVANT_FRACTION`.
+    ``dense`` builds the classic APSP :class:`DistanceOracle`; ``hub``
+    builds a threshold-cutoff :class:`HubLabelOracle` (exact for every
+    comparison against ``d_t``, label footprint independent of pair
+    count). ``auto`` picks dense below :data:`BALL_CHECK_MIN_N` or without
+    pairs, hub from :data:`HUB_ORACLE_MIN_N` up, and in between measures
+    the ball first (cutoff Dijkstra from the endpoints — cost bounded by
+    the ball, not the graph): dense when the endpoints and their ball
+    cover more than :data:`BALL_DENSE_FRACTION` of the nodes, hub
+    otherwise.
     """
     if policy not in ORACLE_POLICIES:
         raise InstanceError(
             f"unknown oracle policy {policy!r}; "
             f"available: {', '.join(ORACLE_POLICIES)}"
         )
-    seeds = sorted({i for pair in pair_indices for i in pair})
-    if policy == "sparse":
-        return SparseRowOracle(graph, seeds, radius=d_threshold)
     if policy == "dense":
         return DistanceOracle(graph)
     if policy == "hub":
         return HubLabelOracle(graph, cutoff=threshold_cutoff(d_threshold))
+    seeds = sorted({i for pair in pair_indices for i in pair})
     n = graph.number_of_nodes()
-    if n < SPARSE_ORACLE_MIN_N or not seeds:
+    if n < BALL_CHECK_MIN_N or not seeds:
         return DistanceOracle(graph)
-    if n >= HUB_ORACLE_MIN_N:
-        return HubLabelOracle(graph, cutoff=threshold_cutoff(d_threshold))
-    sources = relevant_source_indices(graph, seeds, d_threshold)
-    if sources.size > SPARSE_MAX_RELEVANT_FRACTION * n:
+    if (
+        n < HUB_ORACLE_MIN_N
+        and ball_indices(graph, seeds, d_threshold).size
+        > BALL_DENSE_FRACTION * n
+    ):
         return DistanceOracle(graph)
-    return SparseRowOracle(graph, sources=sources)
+    return HubLabelOracle(graph, cutoff=threshold_cutoff(d_threshold))
 
 
 class MSCInstance:
@@ -153,18 +149,16 @@ class MSCInstance:
             :class:`~repro.types.PlacementResult` for them; the default
             keeps the paper's preconditions strict.
         oracle: the distance-oracle tier. Accepts a prebuilt oracle
-            (a :class:`~repro.graph.distances.DistanceOracle`,
-            :class:`~repro.graph.sparse_oracle.SparseRowOracle`, or
+            (a :class:`~repro.graph.distances.DistanceOracle` or
             :class:`~repro.graph.hub_labels.HubLabelOracle` for this
             graph), a prebuilt :class:`~repro.core.substrate.Substrate`
             (its graph must be this graph — the instance then shares the
             substrate's engine cache), one of the policy names
-            ``"dense"`` / ``"sparse"`` / ``"hub"`` / ``"auto"``, or
-            ``None`` to use the process default policy (see
-            :func:`set_default_oracle_policy`; initially ``"auto"``, which
-            keeps paper-scale instances dense, switches large instances to
-            the pair-centric sparse row block, and n ≥ 10⁴ instances to
-            the hub-label index).
+            ``"dense"`` / ``"hub"`` / ``"auto"``, or ``None`` to use the
+            process default policy (see :func:`set_default_oracle_policy`;
+            initially ``"auto"``, which keeps paper-scale instances dense
+            and switches large instances whose d_t-ball is local to the
+            hub-label index).
     """
 
     def __init__(
@@ -284,7 +278,7 @@ class MSCInstance:
     @property
     def oracle_kind(self) -> str:
         """Which oracle tier the instance ended up with
-        (``"dense"``, ``"sparse"``, or ``"hub"``)."""
+        (``"dense"`` or ``"hub"``)."""
         return self.substrate.oracle_kind
 
     def pair_nodes(self) -> List[Node]:

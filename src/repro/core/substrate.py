@@ -42,7 +42,6 @@ from repro.graph.distances import DistanceOracle
 from repro.graph.graph import WirelessGraph, graph_signature
 from repro.graph.hub_labels import HubLabelOracle
 from repro.graph.shortcuts import ShortcutDistanceEngine
-from repro.graph.sparse_oracle import SparseRowOracle
 from repro.types import IndexPair, NodePair, normalize_index_pair
 from repro.util.validation import (
     check_fraction,
@@ -52,7 +51,7 @@ from repro.util.validation import (
 )
 
 #: Any distance-oracle tier (all serve the row protocol).
-OracleLike = Union[DistanceOracle, SparseRowOracle, HubLabelOracle]
+OracleLike = Union[DistanceOracle, HubLabelOracle]
 
 #: Below this node count the engine LRU is disabled by default: building a
 #: supernode table from scratch on a graph this small is cheaper than the
@@ -224,13 +223,9 @@ def _oracle_descriptor(oracle: OracleLike) -> str:
     """Content descriptor of an oracle tier for substrate fingerprints.
 
     Two oracles over content-equal graphs answer identically when their
-    tier and tier parameters match: the dense APSP has no parameters, the
-    sparse tier is determined by its source-row set, and the hub tier by
-    its threshold cutoff.
+    tier and tier parameters match: the dense APSP has no parameters and
+    the hub tier is determined by its threshold cutoff.
     """
-    if isinstance(oracle, SparseRowOracle):
-        sources = ",".join(str(int(s)) for s in oracle.source_indices)
-        return f"sparse:{sources}"
     if isinstance(oracle, HubLabelOracle):
         return f"hub:{getattr(oracle, '_cutoff', None)!r}"
     return "dense"
@@ -285,13 +280,13 @@ class Substrate:
         """Build a substrate, resolving an oracle *policy* if needed.
 
         *oracle* accepts a prebuilt oracle, a policy name (``"dense"`` /
-        ``"sparse"`` / ``"hub"`` / ``"auto"``), or ``None`` for the
-        process-default policy. Policy resolution may consult
-        *d_threshold* (or *p_threshold*) and *pair_indices* — the sparse
-        tier is pair-centric and the hub tier cuts labels at the
-        threshold; a service substrate meant to outlive any single request
-        should pass ``oracle="dense"`` (or a prebuilt oracle) so the tier
-        is request-independent.
+        ``"hub"`` / ``"auto"``), or ``None`` for the process-default
+        policy. Policy resolution may consult *d_threshold* (or
+        *p_threshold*) and *pair_indices* — ``auto`` measures the pairs'
+        d_t-ball and the hub tier cuts labels at the threshold; a service
+        substrate meant to outlive any single request should pass
+        ``oracle="dense"`` (or a prebuilt oracle) so the tier is
+        request-independent.
         """
         from repro.core.problem import default_oracle_policy, resolve_oracle
 
@@ -328,9 +323,7 @@ class Substrate:
     @property
     def oracle_kind(self) -> str:
         """Which oracle tier the substrate carries
-        (``"dense"``, ``"sparse"``, or ``"hub"``)."""
-        if isinstance(self._oracle, SparseRowOracle):
-            return "sparse"
+        (``"dense"`` or ``"hub"``)."""
         if isinstance(self._oracle, HubLabelOracle):
             return "hub"
         return "dense"

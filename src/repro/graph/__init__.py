@@ -11,12 +11,10 @@ from repro.graph.paths import (
     source_rows_matrix,
 )
 from repro.graph.shortcuts import ShortcutDistanceEngine
-from repro.graph.sparse_oracle import SparseRowOracle
 
 __all__ = [
     "WirelessGraph",
     "DistanceOracle",
-    "SparseRowOracle",
     "ShortcutDistanceEngine",
     "dijkstra",
     "shortest_path",

@@ -11,15 +11,14 @@ Oracle protocol
 Distance consumers (the shortcut engine, the σ evaluator, the solvers) are
 written against the *row* accessors — ``row_by_index``, ``rows``,
 ``distance_by_index`` — never against a full square matrix. That is what
-lets :class:`~repro.graph.sparse_oracle.SparseRowOracle` slot in behind the
-same call sites with an ``r × n`` row block (``r ≪ n``) instead of the
-O(n²) matrix. ``matrix`` remains available on both tiers for legacy
-consumers, but on the sparse tier it materializes the full matrix and
-should be avoided on hot paths.
+lets :class:`~repro.graph.hub_labels.HubLabelOracle` slot in behind the
+same call sites with a label index instead of the O(n²) matrix. A cutoff
+hub index refuses ``matrix`` (it is exact only within the cutoff), so
+consumers must use the row accessors.
 
-Every full build of distance rows bumps the class-level ``build_count``
+Every full APSP build bumps the class-level ``build_count``
 (process-local), which the shared-memory fan-out tests use to assert that
-an APSP/row block is computed exactly once per distinct base graph.
+an APSP matrix is computed exactly once per distinct base graph.
 """
 
 from __future__ import annotations

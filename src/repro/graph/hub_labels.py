@@ -1,10 +1,9 @@
 """Hub-labeling (pruned landmark) distance oracle: the large-n tier.
 
-The dense tier stores the full APSP matrix (``O(n²)``); the sparse tier an
-``r × n`` row block whose width still grows linearly with ``n``. This third
-tier stores a *2-hop labeling* instead: every node ``v`` keeps a short
-sorted list of ``(hub, d(v, hub))`` entries such that every shortest path
-is covered by a common hub, so
+The dense tier stores the full APSP matrix (``O(n²)``). This tier stores a
+*2-hop labeling* instead: every node ``v`` keeps a short sorted list of
+``(hub, d(v, hub))`` entries such that every shortest path is covered by a
+common hub, so
 
 ``d(u, v) = min over shared hubs h of  d(u, h) + d(h, v)``
 
@@ -387,7 +386,7 @@ class HubLabelOracle:
             raise GraphError(
                 "a cutoff hub-label index cannot serve the full matrix "
                 f"(exact only within cutoff={self._cutoff}); build with "
-                "cutoff=None or use a dense/sparse oracle"
+                "cutoff=None or use a dense oracle"
             )
         n = self._graph.number_of_nodes()
         full = np.vstack([self.row_by_index(i) for i in range(n)])

@@ -198,7 +198,7 @@ def source_rows_matrix(
 
     The source-restricted analogue of :func:`all_pairs_distance_matrix`:
     cost scales with the number of sources, not with ``n`` squared, which
-    is what the sparse distance-oracle tier is built on. Both backends
+    is what the oracle-free pair sampler is built on. Both backends
     produce identical rows to their all-pairs counterparts.
     """
     sources = list(sources)

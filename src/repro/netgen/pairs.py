@@ -99,7 +99,7 @@ def sample_important_pairs(
     """Oracle-free violating-pair sampler for large graphs.
 
     :func:`select_important_pairs` enumerates all ``O(n²)`` pairs against
-    a full APSP matrix — exactly the footprint the sparse oracle tier
+    a full APSP matrix — exactly the footprint the hub oracle tier
     exists to avoid. This sampler instead draws random source nodes, runs
     one Dijkstra each (:func:`~repro.graph.paths.source_rows_matrix`), and
     keeps violating partners until *m* pairs are collected. The distribution is

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import registry
 from repro.core.evaluator import SigmaEvaluator
 from repro.core.exact import solve_exact
 from repro.core.msc_cn import is_common_node_instance, solve_msc_cn
@@ -107,6 +108,40 @@ class TestSolver:
         assert result.sigma == 3
         assert result.extras["base_satisfied"] == 3
         assert result.edges == []  # nothing left to rescue
+
+
+def _long_path_instance(oracle):
+    return MSCInstance(
+        path_graph([1.0] * 19), [(0, 10), (0, 15), (0, 19)], k=1,
+        d_threshold=2.0, oracle=oracle,
+    )
+
+
+def _relay_star_with_satisfied_pair(oracle):
+    g = common_node_instance().graph
+    pairs = [(0, leaf) for leaf in range(1, 6)] + [(0, 11)]
+    return MSCInstance(
+        g, pairs, k=2, d_threshold=1.5, oracle=oracle,
+        require_initially_unsatisfied=False,
+    )
+
+
+class TestOracleTiers:
+    """Both solvers read partner rows, so a threshold-cutoff hub index
+    (which refuses the full matrix) serves them exactly."""
+
+    @pytest.mark.parametrize("solver", ["msc_cn", "msc_cn_exact"])
+    @pytest.mark.parametrize(
+        "build", [_long_path_instance, _relay_star_with_satisfied_pair]
+    )
+    def test_hub_matches_dense(self, solver, build):
+        results = {}
+        for tier in ("dense", "hub"):
+            result = registry.solve(solver, build(tier))
+            results[tier] = (result.edges, result.sigma, result.satisfied)
+        assert results["hub"] == results["dense"]
+        if build is _long_path_instance:
+            assert results["dense"] == ([(0, 17)], 2, [False, True, True])
 
 
 class TestApproximationGuarantee:

@@ -14,11 +14,13 @@ from repro.exceptions import GraphError
 from repro.graph.graph import WirelessGraph
 from repro.graph.paths import (
     all_pairs_distance_matrix,
+    ball_indices,
     dijkstra,
     shortest_path,
     shortest_path_length,
+    source_rows_matrix,
 )
-from tests.conftest import grid_graph, path_graph, random_graph
+from tests.conftest import grid_graph, path_graph, random_graph, random_graphs
 
 
 class TestDijkstra:
@@ -216,3 +218,59 @@ class TestZeroLengthEdgeBackends:
                     )
                     g.add_edge(i, j, length=length)
         self._assert_backends_agree(g)
+
+
+class TestBallIndices:
+    def test_sources_cover_seeds_and_ball(self):
+        g = path_graph([1.0, 1.0, 1.0, 1.0])
+        assert list(ball_indices(g, [0], 2.0)) == [0, 1, 2]
+        # The union of the seeds' balls, each seed included.
+        assert list(ball_indices(g, [0, 4], 1.0)) == [0, 1, 3, 4]
+        assert list(ball_indices(g, [2], 0.0)) == [2]
+
+
+class TestSourceRowsMatrix:
+    """``source_rows_matrix`` backs the oracle-free pair sampler; its two
+    backends must agree with each other and with the all-pairs rows."""
+
+    def _assert_backends_agree(self, g, sources):
+        pytest.importorskip("scipy")
+        via_scipy = source_rows_matrix(g, sources, use_scipy=True)
+        via_python = source_rows_matrix(g, sources, use_scipy=False)
+        n = g.number_of_nodes()
+        assert via_scipy.shape == via_python.shape == (len(sources), n)
+        finite = np.isfinite(via_python)
+        assert np.array_equal(finite, np.isfinite(via_scipy))
+        # Only the scipy backend's 1e-300 zero-length bump may show.
+        assert np.all(
+            np.abs(via_scipy[finite] - via_python[finite]) < 1e-200
+        )
+        apsp = all_pairs_distance_matrix(g, use_scipy=False)
+        assert np.array_equal(via_python, apsp[list(sources)])
+
+    def test_zero_length_and_unreachable_edges(self):
+        g = WirelessGraph()
+        g.add_nodes(range(6))
+        g.add_edge(0, 1, length=0.0)
+        g.add_edge(1, 2, length=1.0)
+        g.add_edge(2, 3, length=0.0)
+        g.add_edge(4, 5, length=2.0)  # separate component
+        self._assert_backends_agree(g, [0, 3, 4])
+        rows = source_rows_matrix(g, [0], use_scipy=False)
+        assert rows[0, 3] == 1.0
+        assert math.isinf(rows[0, 4])
+
+    def test_no_sources_is_empty_block(self):
+        g = path_graph([1.0, 1.0])
+        for use_scipy in (True, False):
+            block = source_rows_matrix(g, [], use_scipy=use_scipy)
+            assert block.shape == (0, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=random_graphs(), data=st.data())
+    def test_random_graphs_agree(self, graph, data):
+        n = graph.number_of_nodes()
+        sources = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n)
+        )
+        self._assert_backends_agree(graph, sources)

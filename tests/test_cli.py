@@ -29,6 +29,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "table1", "--scale", "huge"])
 
+    def test_sparse_tier_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["run", "table1", "--oracle", "sparse"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
