@@ -84,6 +84,34 @@ class TestPublication:
             taken.close()
             taken.unlink()
 
+    def test_segment_is_tracked_before_it_exists(self, monkeypatch):
+        # A parent killed between creating a segment and registering it
+        # would leak it past the resource tracker; the name must reach
+        # the tracker while /dev/shm has no file of that name yet.
+        existed_at_first_register = {}
+        register = shm.resource_tracker.register
+
+        def recording_register(name, rtype):
+            if rtype == "shared_memory":
+                existed_at_first_register.setdefault(
+                    name, os.path.exists(f"/dev/shm{name}")
+                )
+            register(name, rtype)
+
+        monkeypatch.setattr(
+            shm.resource_tracker, "register", recording_register
+        )
+        publication = shm.publish(
+            {"k": {"x": np.zeros(4), "y": np.ones(2)}}
+        )
+        try:
+            names = publication.segment_names()
+            assert len(names) == 2
+            for name in names:
+                assert existed_at_first_register["/" + name] is False
+        finally:
+            publication.close()
+
     def test_local_registry_serves_serial_path(self):
         arrays = {"key": {"x": np.arange(3)}}
         assert shm.maybe_get("key") is None
