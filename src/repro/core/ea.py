@@ -16,13 +16,13 @@ reproduce.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.evaluator import SigmaEvaluator
 from repro.core.problem import MSCInstance
-from repro.core.setfunction import SetFunctionProtocol
+from repro.core.setfunction import SetFunctionProtocol, satisfied_or_empty
 from repro.exceptions import SolverError
 from repro.types import IndexPair, PlacementResult
 from repro.util.rng import SeedLike, ensure_rng
@@ -131,7 +131,7 @@ class EvolutionaryAlgorithm:
             trace.append(int(best_feasible[1]))
 
         edges = sorted(best_feasible[0])
-        satisfied = _satisfied_or_empty(self.sigma, edges)
+        satisfied = satisfied_or_empty(self.sigma, edges)
         return PlacementResult(
             algorithm="ea",
             edges=self.instance.edges_to_nodes(edges),
@@ -141,11 +141,6 @@ class EvolutionaryAlgorithm:
             trace=trace,
             extras={"archive_size": len(archive)},
         )
-
-
-def _satisfied_or_empty(sigma, edges: Sequence[IndexPair]):
-    satisfied_fn = getattr(sigma, "satisfied", None)
-    return satisfied_fn(edges) if satisfied_fn is not None else []
 
 
 def solve_ea(

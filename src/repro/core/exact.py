@@ -15,7 +15,7 @@ from typing import Optional
 
 from repro.core.evaluator import SigmaEvaluator
 from repro.core.problem import MSCInstance
-from repro.core.setfunction import SetFunctionProtocol
+from repro.core.setfunction import SetFunctionProtocol, satisfied_or_empty
 from repro.exceptions import SolverError
 from repro.types import PlacementResult
 
@@ -57,8 +57,7 @@ def solve_exact(
             if best_value >= max_value:
                 break
 
-    satisfied_fn = getattr(sigma_fn, "satisfied", None)
-    satisfied = satisfied_fn(best_edges) if satisfied_fn is not None else []
+    satisfied = satisfied_or_empty(sigma_fn, best_edges)
     return PlacementResult(
         algorithm="exact",
         edges=instance.edges_to_nodes(best_edges),

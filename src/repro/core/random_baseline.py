@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.evaluator import SigmaEvaluator
 from repro.core.problem import MSCInstance
-from repro.core.setfunction import SetFunctionProtocol
+from repro.core.setfunction import SetFunctionProtocol, satisfied_or_empty
 from repro.exceptions import SolverError
 from repro.types import IndexPair, PlacementResult, normalize_index_pair
 from repro.util.rng import SeedLike, ensure_rng
@@ -109,8 +109,7 @@ def solve_random_baseline(
             best_edges = edges
         trace.append(int(best_value))
 
-    satisfied_fn = getattr(sigma_fn, "satisfied", None)
-    satisfied = satisfied_fn(best_edges) if satisfied_fn is not None else []
+    satisfied = satisfied_or_empty(sigma_fn, best_edges)
     return PlacementResult(
         algorithm="random",
         edges=instance.edges_to_nodes(best_edges),

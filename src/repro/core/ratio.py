@@ -17,6 +17,8 @@ from repro.core.bounds import NuFunction
 from repro.core.evaluator import SigmaEvaluator
 from repro.core.greedy import greedy_placement
 from repro.core.problem import MSCInstance
+from repro.types import IndexPair
+from repro.util.validation import check_nonnegative_int
 
 APPROX_FACTOR = 1.0 - 1.0 / math.e
 
@@ -52,12 +54,24 @@ def sandwich_ratio(
     """Compute ``σ(F_ν)/ν(F_ν)`` for *instance* at budget *k*.
 
     The ν-greedy solution is recomputed per call; pass pre-built *sigma* /
-    *nu* functions to amortize setup across a grid of budgets.
+    *nu* functions to amortize setup across calls. :func:`ratio_grid`
+    covers a whole range of budgets with one ν-greedy per instance.
     """
     budget = instance.k if k is None else k
     sigma_fn = sigma if sigma is not None else SigmaEvaluator(instance)
     nu_fn = nu if nu is not None else NuFunction(instance)
-    f_nu = greedy_placement(nu_fn, budget)
+    return _ratio_report(
+        sigma_fn, nu_fn, greedy_placement(nu_fn, budget), budget
+    )
+
+
+def _ratio_report(
+    sigma_fn: SigmaEvaluator,
+    nu_fn: NuFunction,
+    f_nu: Sequence[IndexPair],
+    k: int,
+) -> RatioReport:
+    """The sandwich ratio of the ν-greedy placement *f_nu* at budget *k*."""
     nu_value = float(nu_fn.value(f_nu))
     sigma_value = float(sigma_fn.value(f_nu))
     ratio = 1.0 if nu_value <= 0 else sigma_value / nu_value
@@ -65,7 +79,7 @@ def sandwich_ratio(
         ratio=ratio,
         sigma_value=sigma_value,
         nu_value=nu_value,
-        k=budget,
+        k=k,
     )
 
 
@@ -92,7 +106,14 @@ def ratio_grid(
     Returns:
         Mapping ``p_t -> [RatioReport per k]``; with ``draws > 1`` each
         report carries the *mean* ratio and the mean σ/ν values.
+
+    The ν-greedy runs once per instance, at the largest budget: a greedy
+    round never reads the budget, so the placement at each smaller ``k``
+    is a prefix of that run (:func:`greedy_placement` stops at ``k``
+    edges, or earlier once no edge gains).
     """
+    budgets = [check_nonnegative_int(k, "k") for k in budgets]
+    largest = max(budgets, default=0)
     grid: Dict[float, List[RatioReport]] = {}
     for p_t in p_thresholds:
         accumulators = [[0.0, 0.0, 0.0] for _ in budgets]  # ratio, σ, ν
@@ -100,10 +121,9 @@ def ratio_grid(
             instance = instance_factory(p_t, draw)
             sigma_fn = SigmaEvaluator(instance)
             nu_fn = NuFunction(instance)
+            f_nu = greedy_placement(nu_fn, largest)
             for i, k in enumerate(budgets):
-                report = sandwich_ratio(
-                    instance, k, sigma=sigma_fn, nu=nu_fn
-                )
+                report = _ratio_report(sigma_fn, nu_fn, f_nu[:k], k)
                 accumulators[i][0] += report.ratio
                 accumulators[i][1] += report.sigma_value
                 accumulators[i][2] += report.nu_value

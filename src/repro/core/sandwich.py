@@ -21,7 +21,7 @@ from repro.core.bounds import MuFunction, NuFunction
 from repro.core.evaluator import SigmaEvaluator
 from repro.core.greedy import greedy_placement
 from repro.core.problem import MSCInstance
-from repro.core.setfunction import SetFunctionProtocol
+from repro.core.setfunction import SetFunctionProtocol, satisfied_or_empty
 from repro.types import IndexPair, PlacementResult
 
 APPROX_FACTOR = 1.0 - 1.0 / math.e
@@ -79,7 +79,7 @@ class SandwichApproximation:
         edges = candidates[winner]
 
         ratio = self.data_dependent_ratio(f_nu)
-        satisfied = self._satisfied(edges)
+        satisfied = satisfied_or_empty(self.sigma, edges)
         return PlacementResult(
             algorithm="sandwich",
             edges=self.instance.edges_to_nodes(edges),
@@ -114,12 +114,6 @@ class SandwichApproximation:
         if nu_value <= 0.0:
             return 1.0
         return float(self.sigma.value(f_nu)) / nu_value
-
-    def _satisfied(self, edges: Sequence[IndexPair]):
-        satisfied_fn = getattr(self.sigma, "satisfied", None)
-        if satisfied_fn is None:
-            return []
-        return satisfied_fn(edges)
 
 
 def solve_sandwich(

@@ -28,6 +28,13 @@ def canonical_edges(edges: Iterable[Tuple[int, int]]) -> List[IndexPair]:
     return [normalize_index_pair(a, b) for a, b in edges]
 
 
+def satisfied_or_empty(fn, edges: Sequence[IndexPair]) -> List[bool]:
+    """Per-pair satisfaction flags of *edges* when *fn* exposes
+    ``satisfied``, else ``[]`` (a :class:`SumSetFunction` has none)."""
+    satisfied_fn = getattr(fn, "satisfied", None)
+    return satisfied_fn(edges) if satisfied_fn is not None else []
+
+
 @runtime_checkable
 class SetFunctionProtocol(Protocol):
     """A monotone set function over shortcut edges on ``n`` nodes."""

@@ -5,8 +5,12 @@ import pytest
 from repro.core.aea import AdaptiveEvolutionaryAlgorithm, solve_aea
 from repro.core.evaluator import SigmaEvaluator
 from repro.core.problem import MSCInstance
+from repro.core.weighted import WeightedSigmaEvaluator
+from repro.dynamics.series import DynamicMSCInstance
 from repro.exceptions import SolverError
 from tests.conftest import path_graph
+from tests.core.helpers import random_instance
+from tests.dynamics.test_series import make_series
 
 
 class TestSolve:
@@ -186,3 +190,105 @@ class TestSwaps:
         new_edges, _, _ = aea._random_swap(edges)
         assert len(new_edges) == 2
         assert all(a < b for a, b in new_edges)
+
+
+class _UncachedAEA(AdaptiveEvolutionaryAlgorithm):
+    """Reference AEA: every greedy swap is computed from scratch."""
+
+    def _greedy_swap(self, edges):
+        return self._compute_greedy_swap(edges)
+
+
+def _aea_pair(make_sigma, instance, **kwargs):
+    """A cached AEA and the uncached reference, each on its own objective
+    object, with identical arguments."""
+    return (
+        AdaptiveEvolutionaryAlgorithm(
+            instance, sigma=make_sigma(), **kwargs
+        ),
+        _UncachedAEA(instance, sigma=make_sigma(), **kwargs),
+    )
+
+
+def _sigma(instance):
+    return lambda: SigmaEvaluator(instance)
+
+
+def _weighted(instance):
+    weights = [1.0 + 0.5 * i for i in range(instance.m)]
+    return lambda: WeightedSigmaEvaluator(instance, weights)
+
+
+def _dynamic(dyn):
+    return lambda: DynamicMSCInstance(dyn.instances).sigma_function()
+
+
+def _objectives():
+    instance = random_instance(4, n_range=(9, 12), k=3)
+    dyn = make_series(k=2)
+    return {
+        "sigma": (instance, _sigma(instance)),
+        "weighted": (instance, _weighted(instance)),
+        "dynamic": (dyn.carrier, _dynamic(dyn)),
+    }
+
+
+class TestSwapCache:
+    """Replaying a repeated greedy swap must leave the run unchanged: same
+    result, same evaluation count, same RNG stream afterwards."""
+
+    ITERATIONS = 60
+
+    @pytest.mark.parametrize("objective", ["sigma", "weighted", "dynamic"])
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_matches_uncached_reference(self, objective, delta, warm):
+        instance, make_sigma = _objectives()[objective]
+        initial = [(0, 1)] if warm else None
+        cached, reference = _aea_pair(
+            make_sigma, instance, iterations=self.ITERATIONS,
+            delta=delta, seed=17, initial_edges=initial,
+        )
+        assert cached.solve() == reference.solve()
+        assert cached._rng.getstate() == reference._rng.getstate()
+        assert len(cached._swaps) <= self.ITERATIONS + 1
+        if delta == 1.0:
+            assert not cached._swaps  # random swaps are never stored
+        if delta == 0.0:
+            # Every iteration is a greedy swap, and parents repeat.
+            assert 0 < len(cached._swaps) < self.ITERATIONS
+
+    def test_dynamic_solver_matches_reference(self):
+        dyn = make_series(k=2)
+        _, reference = _aea_pair(
+            _dynamic(dyn), dyn.carrier, iterations=40, delta=0.05, seed=3
+        )
+        assert dyn.solve_aea(
+            iterations=40, delta=0.05, seed=3
+        ) == reference.solve()
+
+    def test_repeated_solve_on_one_object(self):
+        instance, make_sigma = _objectives()["sigma"]
+        cached, reference = _aea_pair(
+            make_sigma, instance, iterations=self.ITERATIONS, seed=5
+        )
+        for k in (2, 3, 3):
+            assert cached.solve(k=k) == reference.solve(k=k)
+            assert cached._rng.getstate() == reference._rng.getstate()
+            assert len(cached._swaps) <= self.ITERATIONS + 1
+            assert all(len(parent) == k for parent in cached._swaps)
+
+    def test_replay_returns_a_fresh_child_and_the_stored_cost(
+        self, tiny_instance
+    ):
+        aea = AdaptiveEvolutionaryAlgorithm(
+            tiny_instance, iterations=1, seed=19
+        )
+        parent = [(0, 1), (2, 3)]
+        first = aea._greedy_swap(parent)
+        second = aea._greedy_swap(parent)
+        assert first == second
+        assert first[2] == len(parent) + 1  # k removals + one scan
+        assert first[0] is not second[0]
+        first[0].append((0, 4))
+        assert aea._greedy_swap(parent) == second

@@ -1,14 +1,18 @@
 """Tests for repro.core.greedy (generic greedy placement)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.bounds import NuFunction
+from repro.core.bounds import MuFunction, NuFunction
 from repro.core.evaluator import SigmaEvaluator
 from repro.core.greedy import greedy_placement
 from repro.core.problem import MSCInstance
 from repro.exceptions import SolverError
-from tests.conftest import path_graph
+from tests.conftest import path_graph, random_graphs
 
 
 class _FixedFunction:
@@ -114,3 +118,45 @@ class TestGreedyOnRealObjectives:
         nu = NuFunction(inst)
         placed = greedy_placement(nu, 2)
         assert nu.value(placed) > nu.value([])
+
+
+class TestBudgetPrefix:
+    """A greedy round never reads the budget, so a smaller budget's
+    placement is a prefix of a larger one's; ``ratio_grid`` relies on it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=random_graphs(),
+        data=st.data(),
+        d_threshold=st.floats(min_value=0.0, max_value=3.0),
+    )
+    def test_smaller_budget_is_prefix(self, graph, data, d_threshold):
+        n = graph.number_of_nodes()
+        if n < 2:
+            return
+        distinct = st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1)
+        ).filter(lambda p: p[0] != p[1])
+        pairs = data.draw(st.lists(distinct, min_size=1, max_size=5))
+        instance = MSCInstance(
+            graph,
+            pairs,
+            k=1,
+            d_threshold=d_threshold,
+            require_initially_unsatisfied=False,
+        )
+        # The whole candidate universe: every run that ends short of it
+        # stopped for lack of gain.
+        largest = n * (n - 1) // 2
+        functions = [
+            SigmaEvaluator(instance),
+            MuFunction(instance),
+            NuFunction(instance),
+        ]
+        # The same σ served by the restricted-universe scan.
+        with mock.patch("repro.core.evaluator.CANDIDATE_RESTRICT_MIN_N", 0):
+            functions.append(SigmaEvaluator(instance))
+            for fn in functions:
+                full = greedy_placement(fn, largest)
+                for k in range(min(largest, len(full) + 2) + 1):
+                    assert greedy_placement(fn, k) == full[:k]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.problem import MSCInstance
 from repro.core.ratio import APPROX_FACTOR, RatioReport, ratio_grid, sandwich_ratio
+from repro.exceptions import ValidationError
 from tests.conftest import path_graph
 from tests.core.helpers import random_instance
 
@@ -39,7 +40,55 @@ class TestSandwichRatio:
         assert 0.0 <= report.ratio <= 1.0 + 1e-9
 
 
+def _reference_grid(instance_factory, p_thresholds, budgets, draws):
+    """The grid recomputed with one ``sandwich_ratio`` (one ν-greedy) per
+    instance and budget."""
+    grid = {}
+    for p_t in p_thresholds:
+        sums = [[0.0, 0.0, 0.0] for _ in budgets]
+        for draw in range(draws):
+            instance = instance_factory(p_t, draw)
+            for cell, k in zip(sums, budgets):
+                report = sandwich_ratio(instance, k)
+                cell[0] += report.ratio
+                cell[1] += report.sigma_value
+                cell[2] += report.nu_value
+        grid[p_t] = [
+            RatioReport(
+                ratio=r / draws, sigma_value=s / draws, nu_value=v / draws,
+                k=k,
+            )
+            for (r, s, v), k in zip(sums, budgets)
+        ]
+    return grid
+
+
 class TestRatioGrid:
+    @pytest.mark.parametrize("draws", [1, 3])
+    def test_matches_per_budget_reference(self, draws):
+        def factory(p_t, draw):
+            return random_instance(
+                int(p_t * 10) + 7 * draw, n_range=(8, 13), k=1,
+                max_pairs=8,
+            )
+
+        # Unsorted, repeated, zero, and past the point where ν stops
+        # gaining on these instances.
+        budgets = [3, 1, 0, 6, 3, 12]
+        p_thresholds = [0.1, 0.2, 0.3]
+        assert ratio_grid(
+            factory, p_thresholds, budgets, draws
+        ) == _reference_grid(factory, p_thresholds, budgets, draws)
+
+    def test_negative_budget_rejected(self):
+        g = path_graph([0.3] * 8)
+
+        def factory(p_t, draw):
+            return MSCInstance(g, [(0, 8)], k=1, p_threshold=p_t)
+
+        with pytest.raises(ValidationError):
+            ratio_grid(factory, [0.5], [2, -1])
+
     def test_grid_layout(self):
         g = path_graph([0.3] * 8)
 
